@@ -388,6 +388,11 @@ func runMicro(outPath, comparePath string, nsHeadroom float64) error {
 	if _, err := privtree.Decode(envBlob); err != nil {
 		return err
 	}
+	// The same release as the binary arena artifact stores commit.
+	artBlob, err := envRelease.MarshalBinary()
+	if err != nil {
+		return err
+	}
 
 	cases := []struct {
 		name string
@@ -445,6 +450,22 @@ func runMicro(outPath, comparePath string, nsHeadroom float64) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := privtree.Decode(envBlob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"ArtifactEncode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := envRelease.MarshalBinary(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"ArtifactDecode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := privtree.Decode(artBlob); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -675,6 +696,8 @@ var guardedBenchmarks = map[string]bool{
 	"TopK20x5":              true,
 	"EnvelopeEncode":        true,
 	"EnvelopeDecode":        true,
+	"ArtifactEncode":        true,
+	"ArtifactDecode":        true,
 	"MetricsOverhead":       true,
 	"TraceRecord":           true,
 	"FlightRecorderLookup":  true,
@@ -689,6 +712,7 @@ var guardedBenchmarks = map[string]bool{
 // rides encoding/json: its pooled scanner states make the count
 // nondeterministic by a hair (GC timing decides pool hits), while a real
 // regression on these ~10k-alloc ops would move the number by far more.
+// The binary artifact rows use no encoding/json and keep the exact gate.
 var allocsSlack = map[string]int64{
 	"EnvelopeEncode": 2,
 	"EnvelopeDecode": 2,

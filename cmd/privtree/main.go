@@ -16,10 +16,12 @@
 //	privtree top -nodes http://a:8080,http://b:8080       # live cluster view
 //	privtree top -nodes http://a:8080 -once               # one frame, scriptable
 //
-// inspect prints each file's kind, mechanism, ε, seed, and params
-// fingerprint from the envelope metadata alone — it works on -out files
-// and on privtreed store artifacts alike, and succeeds even when the
-// payload would be expensive (or too damaged) to decode.
+// inspect prints each file's encoding, kind, mechanism, ε, seed, and
+// params fingerprint from the envelope metadata alone — it works on -out
+// files (JSON envelopes) and on privtreed store artifacts (binary arena
+// artifacts for spatial releases, whose header it reads without touching
+// the arena) alike, and succeeds even when the payload would be expensive
+// (or too damaged) to decode.
 //
 // verify scrubs a privtreed data directory (or a single dataset store)
 // offline and read-only: WAL frame CRCs and sequence order, snapshot
@@ -196,7 +198,7 @@ func main() {
 // envelope provenance without decoding (or validating) the payload.
 func runInspect(paths []string) error {
 	if len(paths) == 0 {
-		return fmt.Errorf("usage: privtree inspect <release.json> [more files...]")
+		return fmt.Errorf("usage: privtree inspect <release file> [more files...]")
 	}
 	failed := 0
 	for _, path := range paths {
@@ -215,6 +217,11 @@ func runInspect(paths []string) error {
 		if len(paths) > 1 {
 			fmt.Printf("%s:\n", path)
 		}
+		encoding := "json"
+		if info.Binary {
+			encoding = "binary"
+		}
+		fmt.Printf("  encoding:      %s\n", encoding)
 		fmt.Printf("  version:       %d\n", info.Version)
 		fmt.Printf("  kind:          %s\n", info.Kind)
 		if info.Mechanism != "" {

@@ -54,6 +54,19 @@
 // Decode is the single entry point, and it still loads the legacy
 // per-type v0 documents through compat shims.
 //
+// Spatial releases have a second encoding, the binary arena artifact
+// (Release.MarshalBinary): the envelope's provenance plus the nodes in
+// preorder, CRC-checked, about half the JSON's size and decoded in one
+// scan and one arena build. Decode recognizes it by its magic. Stores and
+// replication carry the binary artifact — a Session commits it, so
+// restart recovery and replica catch-up decode it — while JSON stays the
+// interop and debug encoding: json.Marshal, privtreed's GET of a release
+// (rendered from the tree on each request, see Release.RenderEnvelope),
+// the CLI, and every sequence and hybrid release. Stores written before
+// binary artifacts hold JSON and keep serving those bytes. Upgrade
+// replicas before their primary: older code cannot decode binary
+// artifacts.
+//
 // The SVT analysis of Section 5 lives in the same module for side-by-side
 // comparison; the experiment runners that regenerate every figure and
 // table of the paper are exposed through cmd/privtree-bench.
@@ -114,9 +127,9 @@
 //   - a refund for a failed build is durable BEFORE the error returns
 //     (and if it cannot be made durable, the budget stays spent — the
 //     failure direction is over-counting, never under-counting);
-//   - a successful release's envelope is persisted content-addressed and
-//     committed, so after a restart the same request is served from the
-//     exact stored bytes with no new debit.
+//   - a successful release's artifact is persisted content-addressed and
+//     committed, so after a restart the same request is served the same
+//     release, byte for byte, with no new debit.
 //
 // Recovery replays the log sequentially (torn tails truncated, duplicate
 // frames skipped, hostile bytes rejected without panics) and rebuilds

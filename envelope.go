@@ -18,6 +18,10 @@ import (
 //	  "payload": { ... }               // the kind-specific artifact document
 //	}
 //
+// Spatial releases have a second, binary encoding laid out like the node
+// arena (serialize_binary.go), which stores commit and replicas ship;
+// JSON stays the interop and debug encoding.
+//
 // Decode is the single entry point: it dispatches on "kind", and keeps
 // loading the legacy per-type v0 documents (a bare SpatialTree,
 // SequenceModel, or HybridTree JSON document with no envelope) through
@@ -101,8 +105,11 @@ func (r *Release) UnmarshalJSON(data []byte) error {
 // readable without decoding (or validating) the payload — see
 // InspectEnvelope.
 type EnvelopeInfo struct {
-	// Version is the envelope version (0 for legacy bare documents).
+	// Version is the envelope version (0 for legacy bare documents), or
+	// for a binary artifact its format version.
 	Version int
+	// Binary reports a binary arena artifact rather than a JSON document.
+	Binary bool
 	// Kind is the artifact family the document carries.
 	Kind ReleaseKind
 	// Mechanism is the producing mechanism's registry name ("" when not
@@ -118,7 +125,8 @@ type EnvelopeInfo struct {
 	// Fingerprint is the release-request identity string (mechanism, ε,
 	// params) — the key the Session cache and the artifact store dedup on.
 	Fingerprint string
-	// PayloadBytes is the size of the (uninspected) payload document.
+	// PayloadBytes is the size of the (uninspected) payload document, or
+	// of a binary artifact's arena section.
 	PayloadBytes int
 }
 
@@ -126,10 +134,14 @@ type EnvelopeInfo struct {
 // mechanism, ε, seed, params fingerprint — WITHOUT decoding the payload:
 // inspecting a multi-megabyte artifact costs one metadata parse, and a
 // payload too corrupt for Decode can still be identified. It accepts
-// both versioned envelopes and legacy v0 documents (which carry no
-// provenance and report Version 0). The provenance fields get the same
-// plausibility screening as Decode; the payload gets none.
+// versioned envelopes, legacy v0 documents (which carry no provenance and
+// report Version 0) and binary arena artifacts, whose header it reads
+// without touching the arena or its CRC. The provenance fields get the
+// same plausibility screening as Decode; the payload gets none.
 func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
+	if isBinaryArtifact(data) {
+		return inspectBinary(data)
+	}
 	var probe struct {
 		Envelope  *int            `json:"privtree_release"`
 		Kind      ReleaseKind     `json:"kind"`
@@ -169,14 +181,6 @@ func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
 	if len(probe.Payload) == 0 {
 		return nil, fmt.Errorf("privtree: release envelope has no payload")
 	}
-	if math.IsNaN(probe.Epsilon) || math.IsInf(probe.Epsilon, 0) || probe.Epsilon < 0 {
-		return nil, fmt.Errorf("privtree: release envelope has unusable epsilon %v", probe.Epsilon)
-	}
-	switch probe.Kind {
-	case KindSpatial, KindSequence, KindHybrid:
-	default:
-		return nil, fmt.Errorf("privtree: release envelope carries unknown kind %q", probe.Kind)
-	}
 	info := &EnvelopeInfo{
 		Version:      *probe.Envelope,
 		Kind:         probe.Kind,
@@ -187,31 +191,86 @@ func InspectEnvelope(data []byte) (*EnvelopeInfo, error) {
 	if probe.Params != nil {
 		info.Params = *probe.Params
 	}
-	info.Seed = info.Params.Seed
-	if probe.Mechanism != "" {
-		spec, ok := mechanismRegistry[probe.Mechanism]
-		if !ok {
-			return nil, fmt.Errorf("privtree: release envelope names unknown mechanism %q", probe.Mechanism)
-		}
-		if spec.kind != probe.Kind {
-			return nil, fmt.Errorf("privtree: mechanism %q produces %s releases, envelope claims %s",
-				probe.Mechanism, spec.kind, probe.Kind)
-		}
+	return info.screen()
+}
+
+// inspectBinary reads a binary artifact's header; the arena and its CRC
+// are left unread.
+func inspectBinary(data []byte) (*EnvelopeInfo, error) {
+	h, err := readArtifactHeader(data)
+	if err != nil {
+		return nil, err
 	}
+	info := &EnvelopeInfo{
+		Version:      artifactVersion,
+		Binary:       true,
+		Kind:         h.kind,
+		Mechanism:    h.mechanism,
+		Epsilon:      h.epsilon,
+		Params:       h.params,
+		PayloadBytes: max(len(data)-h.end-4, 0),
+	}
+	return info.screen()
+}
+
+// screen applies InspectEnvelope's provenance screening and fills in the
+// derived fields.
+func (info *EnvelopeInfo) screen() (*EnvelopeInfo, error) {
+	switch info.Kind {
+	case KindSpatial, KindSequence, KindHybrid:
+	default:
+		return nil, fmt.Errorf("privtree: release envelope carries unknown kind %q", info.Kind)
+	}
+	if err := checkProvenance(info.Kind, info.Mechanism, info.Epsilon, nil); err != nil {
+		return nil, err
+	}
+	info.Seed = info.Params.Seed
 	info.Fingerprint = releaseFingerprint(info.Mechanism, info.Epsilon, info.Params)
 	return info, nil
 }
 
-// Decode loads a serialized release: either a versioned envelope (see
-// EnvelopeVersion) or one of the legacy v0 per-type documents, which are
-// recognized by their distinguishing keys — "alphabet"+"root" (sequence),
-// "fanout"+"root" (spatial), "numeric"/"taxonomies" (hybrid). The payload
-// is fully validated by the kind-specific decoder before a Release is
-// handed back.
+// checkProvenance validates an envelope's provenance like everything else
+// on the wire: ε must be a plausible privacy cost (0 = not recorded), and
+// a named mechanism must exist, produce this kind, and — when params is
+// non-nil — accept these params: a forged envelope must not smuggle
+// provenance no mechanism could have produced.
+func checkProvenance(kind ReleaseKind, mechanism string, eps float64, params *Params) error {
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < 0 {
+		return fmt.Errorf("privtree: release envelope has unusable epsilon %v", eps)
+	}
+	if mechanism == "" {
+		return nil
+	}
+	spec, ok := mechanismRegistry[mechanism]
+	if !ok {
+		return fmt.Errorf("privtree: release envelope names unknown mechanism %q", mechanism)
+	}
+	if spec.kind != kind {
+		return fmt.Errorf("privtree: mechanism %q produces %s releases, envelope claims %s", mechanism, spec.kind, kind)
+	}
+	if params != nil {
+		if err := spec.validate(*params); err != nil {
+			return fmt.Errorf("privtree: release envelope params: %w", err)
+		}
+	}
+	return nil
+}
+
+// Decode loads a serialized release: a binary arena artifact (see
+// Release.MarshalBinary), recognized by its magic, a versioned envelope
+// (see EnvelopeVersion), or one of the legacy v0 per-type documents, which
+// are recognized by their distinguishing keys — "alphabet"+"root"
+// (sequence), "fanout"+"root" (spatial), "numeric"/"taxonomies" (hybrid).
+// The payload is fully validated by the kind-specific decoder before a
+// Release is handed back; a binary artifact gets the same checks as its
+// JSON form, plus its CRC and declared node count.
 //
 // Releases decoded from v0 documents carry no mechanism name and ε = 0:
 // the legacy formats never recorded them.
 func Decode(data []byte) (*Release, error) {
+	if isBinaryArtifact(data) {
+		return decodeBinary(data)
+	}
 	// One parse serves both dispatch and the envelope fields; only the
 	// kind-specific payload document is parsed a second time, by its own
 	// hardened decoder.
@@ -240,30 +299,12 @@ func Decode(data []byte) (*Release, error) {
 		if len(probe.Payload) == 0 {
 			return nil, fmt.Errorf("privtree: release envelope has no payload")
 		}
-		// The provenance fields are validated like everything else on the
-		// wire: ε must be a plausible privacy cost (0 = not recorded), and
-		// a named mechanism must exist, produce this kind, and accept these
-		// params — a forged envelope must not smuggle provenance no
-		// mechanism could have produced.
-		if math.IsNaN(probe.Epsilon) || math.IsInf(probe.Epsilon, 0) || probe.Epsilon < 0 {
-			return nil, fmt.Errorf("privtree: release envelope has unusable epsilon %v", probe.Epsilon)
-		}
 		rel := &Release{kind: probe.Kind, mechanism: probe.Mechanism, epsilon: probe.Epsilon}
 		if probe.Params != nil {
 			rel.params = *probe.Params
 		}
-		if probe.Mechanism != "" {
-			spec, ok := mechanismRegistry[probe.Mechanism]
-			if !ok {
-				return nil, fmt.Errorf("privtree: release envelope names unknown mechanism %q", probe.Mechanism)
-			}
-			if spec.kind != probe.Kind {
-				return nil, fmt.Errorf("privtree: mechanism %q produces %s releases, envelope claims %s",
-					probe.Mechanism, spec.kind, probe.Kind)
-			}
-			if err := spec.validate(rel.params); err != nil {
-				return nil, fmt.Errorf("privtree: release envelope params: %w", err)
-			}
+		if err := checkProvenance(rel.kind, rel.mechanism, rel.epsilon, &rel.params); err != nil {
+			return nil, err
 		}
 		switch probe.Kind {
 		case KindSpatial:

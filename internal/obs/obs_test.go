@@ -175,6 +175,11 @@ func TestRegistryRace(t *testing.T) {
 	if total != 8*200 {
 		t.Fatalf("lost increments: %d, want %d", total, 8*200)
 	}
+	// Goroutines racing to register the same series must share one
+	// instrument, or some observations land in a discarded one.
+	if n := reg.Histogram("privtree_race_seconds", "t", nil, Label{"route", "x"}).Count(); n != 8*200 {
+		t.Fatalf("lost observations: %d, want %d", n, 8*200)
+	}
 }
 
 // TestExpositionRoundTrip renders a registry with every instrument kind
@@ -208,10 +213,10 @@ func TestExpositionRoundTrip(t *testing.T) {
 		byKey[s.SeriesKey()] = s.Value
 	}
 	checks := map[string]float64{
-		"privtree_requests_total":                    12,
-		"privtree_http_requests_total{route=query}":  3,
-		"privtree_http_requests_total{route=create}": 4,
-		"privtree_live":                              7,
+		"privtree_requests_total":                     12,
+		"privtree_http_requests_total{route=query}":   3,
+		"privtree_http_requests_total{route=create}":  4,
+		"privtree_live":                               7,
 		"privtree_request_seconds_count{route=query}": 2,
 		"privtree_request_seconds_sum{route=query}":   2.003,
 	}

@@ -69,20 +69,12 @@ func NewRegistry() *Registry {
 // type clash with an existing family, or invalid labels — these are
 // programming errors at startup, not runtime conditions.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	s := r.getOrCreate(name, help, typeCounter, nil, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	return r.getOrCreate(name, help, typeCounter, nil, labels).counter
 }
 
 // Gauge returns the gauge named name with the given labels.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	s := r.getOrCreate(name, help, typeGauge, nil, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.getOrCreate(name, help, typeGauge, nil, labels).gauge
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
@@ -90,7 +82,9 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // spent ε, a gate's in-flight count) and must not be shadowed by a copy.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	s := r.getOrCreate(name, help, typeGauge, nil, labels)
+	r.mu.Lock()
 	s.fn = fn
+	r.mu.Unlock()
 }
 
 // Histogram returns the histogram named name with the given labels. The
@@ -98,14 +92,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 // it, later series must pass nil or an identical ladder. Bounds must be
 // strictly increasing and finite.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	s := r.getOrCreate(name, help, typeHistogram, buckets, labels)
-	if s.hist == nil {
-		r.mu.Lock()
-		fam := r.byName[name]
-		r.mu.Unlock()
-		s.hist = newHistogram(fam.buckets)
-	}
-	return s.hist
+	return r.getOrCreate(name, help, typeHistogram, buckets, labels).hist
 }
 
 // OnScrape registers fn to run at the start of every WriteText, before
@@ -159,7 +146,18 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 	}
 	s, ok := fam.byLabels[key]
 	if !ok {
+		// The instrument is created here, under the lock, so handlers
+		// registering the same series concurrently share one instrument
+		// and a scrape never reads a half-initialized series.
 		s = &series{labels: rendered}
+		switch typ {
+		case typeCounter:
+			s.counter = &Counter{}
+		case typeGauge:
+			s.gauge = &Gauge{}
+		case typeHistogram:
+			s.hist = newHistogram(fam.buckets)
+		}
 		fam.byLabels[key] = s
 		fam.series = append(fam.series, s)
 	}

@@ -17,7 +17,7 @@
 // deterministically from its in-memory history, so compaction never
 // breaks shipping — and apply them verbatim at the same sequence
 // numbers, making each replica's history a bit-identical prefix of the
-// primary's. Released envelopes travel by SHA-256 content address and
+// primary's. Released artifacts travel by SHA-256 content address and
 // are hash-verified on receipt, so a replica can never serve bytes the
 // primary did not commit. Queries over released trees are pure
 // post-processing; replicas therefore need no budget authority at all.
@@ -231,7 +231,7 @@ func (c *Client) WALFrames(ctx context.Context, dataset string, from uint64, min
 	return frames, writerEpoch, lastSeq, nil
 }
 
-// Artifact fetches one committed envelope by content address and
+// Artifact fetches one committed artifact by content address and
 // verifies the bytes hash to it before returning them.
 func (c *Client) Artifact(ctx context.Context, dataset, shaHex string) ([]byte, error) {
 	resp, err := c.get(ctx, "/v1/repl/datasets/"+url.PathEscape(dataset)+"/artifacts/"+url.PathEscape(shaHex), nil)

@@ -110,15 +110,11 @@ func (d *Dataset) AttachStore(dir string) error {
 	return nil
 }
 
-// restoreRelease registers one recovered release: the persisted envelope
-// bytes are served verbatim (bit-identical across the restart), metadata
-// is rebuilt from the release's own provenance, and the ID continues the
+// restoreRelease registers one recovered release: its envelope is served
+// bit-identically across the restart (see Release.Artifact), metadata is
+// rebuilt from the release's own provenance, and the ID continues the
 // r<N> sequence in commit order.
 func (d *Dataset) restoreRelease(rel *privtree.Release, at time.Time) error {
-	blob, err := rel.Envelope()
-	if err != nil {
-		return err
-	}
 	p := rel.Params()
 	out := &Release{
 		Kind: rel.Kind(),
@@ -133,7 +129,7 @@ func (d *Dataset) restoreRelease(rel *privtree.Release, at time.Time) error {
 			MaxLength:          p.MaxLength,
 		},
 		CreatedAt: at,
-		artifact:  blob,
+		rel:       rel,
 	}
 	if t, ok := rel.Spatial(); ok {
 		out.tree = t
@@ -238,16 +234,18 @@ type Release struct {
 	Nodes     int           `json:"nodes"`
 	Height    int           `json:"height,omitempty"`
 
-	tree     *privtree.SpatialTree
-	model    *privtree.SequenceModel
-	artifact json.RawMessage
+	rel   *privtree.Release
+	tree  *privtree.SpatialTree
+	model *privtree.SequenceModel
 }
 
-// Artifact returns the release in the library's versioned wire envelope
-// (the JSON shape privtree.Decode loads). The bytes are marshaled once at
-// build time — releases are immutable — so repeated fetches cost a slice
-// copy, not a tree walk.
-func (r *Release) Artifact() json.RawMessage { return r.artifact }
+// Artifact returns the release in the library's versioned JSON envelope
+// (the shape privtree.Decode loads). No serialized copy is kept: each call
+// renders the envelope from the release (privtree.Release.RenderEnvelope),
+// so a fetch costs one render. Rendering is deterministic, so the primary,
+// a restarted node and a replica serve the same bytes; a release recovered
+// from a JSON artifact serves its persisted bytes.
+func (r *Release) Artifact() (json.RawMessage, error) { return r.rel.RenderEnvelope() }
 
 // Release returns the cached release for p, or builds one through the
 // dataset's session: the session debits its ledger before the mechanism
@@ -300,19 +298,11 @@ func (d *Dataset) releaseData(ctx context.Context, data *privtree.Data, p Releas
 	}
 	d.mu.RUnlock()
 
-	// First sighting of this fingerprint: take the release's cached
-	// envelope — the SAME bytes the session persisted (if a store is
-	// attached), so the artifact endpoint, the store, and a post-restart
-	// recovery all serve bit-identical JSON.
-	blob, err := rel.Envelope()
-	if err != nil {
-		return nil, "", false, fmt.Errorf("%w: marshaling release artifact: %v", errInternal, err)
-	}
 	out := &Release{
 		Kind:      d.Kind,
 		Params:    p,
 		CreatedAt: time.Now(),
-		artifact:  blob,
+		rel:       rel,
 	}
 	if t, ok := rel.Spatial(); ok {
 		out.tree = t

@@ -4,7 +4,7 @@
 //
 //	GET  /v1/repl/datasets                           replicated dataset listing
 //	GET  /v1/repl/datasets/{name}/wal?from=N         CRC-framed WAL records after N
-//	GET  /v1/repl/datasets/{name}/artifacts/{sha}    committed envelope by content address
+//	GET  /v1/repl/datasets/{name}/artifacts/{sha}    committed artifact by content address
 //	POST /v1/admin/promote                           replica → primary (bumps writer epoch)
 //	POST /v1/admin/fence                             durably fence below a writer epoch
 //	GET  /readyz                                     readiness (distinct from /healthz liveness)
@@ -136,8 +136,10 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(frames)
 }
 
-// handleReplArtifact serves one committed envelope by content address;
-// the bytes are re-verified against the address before they leave.
+// handleReplArtifact serves one committed artifact by content address —
+// binary for spatial releases, JSON for the other kinds and for commits
+// written before binary artifacts existed — verbatim; the bytes are
+// re-verified against the address before they leave.
 func (s *Server) handleReplArtifact(w http.ResponseWriter, r *http.Request) {
 	d, ok := s.lookup(w, r)
 	if !ok {
@@ -154,7 +156,7 @@ func (s *Server) handleReplArtifact(w http.ResponseWriter, r *http.Request) {
 		writeErrorFrom(w, fmt.Errorf("%w: loading artifact: %v", errInternal, err))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(blob)
 }
 
@@ -163,6 +165,9 @@ func (s *Server) handleReplArtifact(w http.ResponseWriter, r *http.Request) {
 // they ARE the newer writer) and flips the server's fenced flag so
 // registrations are refused too.
 func (s *Server) fenceAll(epoch uint64) {
+	// The flag goes first, so anyone who observes a fenced store also sees
+	// registrations refused; refusing early is the safe direction.
+	s.fenced.Store(true)
 	for _, d := range s.registry.List() {
 		if d.store != nil {
 			if err := d.store.Fence(epoch); err != nil {
@@ -170,7 +175,6 @@ func (s *Server) fenceAll(epoch uint64) {
 			}
 		}
 	}
-	s.fenced.Store(true)
 }
 
 // handleFence durably fences this node below the requested writer epoch.

@@ -949,11 +949,16 @@ func (s *Server) handleGetRelease(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	artifact, err := rel.Artifact()
+	if err != nil {
+		writeErrorFrom(w, fmt.Errorf("%w: rendering release artifact: %v", errInternal, err))
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"release_id": rel.ID,
 		"kind":       rel.Kind,
 		"params":     rel.Params,
-		"artifact":   rel.Artifact(),
+		"artifact":   artifact,
 	})
 }
 

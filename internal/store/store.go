@@ -1,6 +1,7 @@
 // Package store gives privtree sessions crash-safe persistence: an
 // append-only, fsync-on-debit write-ahead log of privacy-ledger events
-// plus a content-addressed artifact store for release wire envelopes.
+// plus a content-addressed artifact store for released artifacts (opaque
+// bytes to the store: binary arena artifacts or JSON envelopes).
 //
 // Privacy argument. A privacy ledger that forgets a debit is an ε
 // violation: sequential composition bounds the privacy loss of everything
@@ -13,7 +14,7 @@
 //     pays for runs, so no release can exist whose debit a crash forgets;
 //   - a refund is durable BEFORE the build failure is returned, so budget
 //     credited back in memory cannot silently out-live its justification;
-//   - a release's envelope is durable (content-addressed file, then a
+//   - a release's artifact is durable (content-addressed file, then a
 //     commit record) before the release is served as cached across
 //     restarts, so a recovered cache hit re-publishes exactly the bytes
 //     already paid for — post-processing, never a new spend.
@@ -27,7 +28,8 @@
 //
 //	ledger.wal      CRC-framed event log (see wal.go)
 //	snapshot.json   compaction snapshot: events+commits up to a seq cursor
-//	artifacts/      <sha256(envelope)>.json, written via tmp+fsync+rename
+//	artifacts/      <sha256(artifact)>.json, written via tmp+fsync+rename
+//	                (the suffix predates binary artifacts; it names any kind)
 //
 // Recovery is a single sequential pass: load the snapshot (if any), then
 // replay WAL records with seq beyond the snapshot cursor; a torn tail is

@@ -7,7 +7,9 @@ import (
 // Store is a crash-safe persistence root for one session: an append-only,
 // fsync-on-debit write-ahead log of privacy-ledger events (debits,
 // refunds, release commits) plus a content-addressed file store holding
-// each release's wire envelope. Attach one to a fresh Session with
+// each release's artifact: the binary arena artifact for spatial releases
+// (see Release.MarshalBinary), the JSON envelope for other kinds and for
+// commits written before binary artifacts existed. Attach one to a fresh Session with
 // WithStore — or use OpenSession — and the session's guarantee becomes
 // durable: a debit reaches disk before its mechanism runs, a refund
 // before its error returns, and a crash at ANY point recovers to a spent
@@ -97,11 +99,11 @@ func (st *Store) WALFrames(afterSeq uint64, maxBytes int) ([]byte, uint64, error
 // compare it against the primary's to report epochs-behind.
 func (st *Store) LastSealedEpoch() uint64 { return st.inner.LastSealedEpoch() }
 
-// HasArtifact reports whether the envelope with the given hex SHA-256
+// HasArtifact reports whether the artifact with the given hex SHA-256
 // content address is already present in the artifact store.
 func (st *Store) HasArtifact(shaHex string) bool { return st.inner.HasArtifact(shaHex) }
 
-// PutArtifact stores envelope bytes under their hex SHA-256 content
+// PutArtifact stores artifact bytes under their hex SHA-256 content
 // address, verifying the hash on receipt; mismatched bytes are rejected.
 // Replicas call it for each artifact referenced by shipped commit records
 // before applying the frames.
@@ -109,7 +111,7 @@ func (st *Store) PutArtifact(shaHex string, blob []byte) error {
 	return st.inner.PutArtifact(shaHex, blob)
 }
 
-// Artifact loads a committed envelope by hex SHA-256 content address and
+// Artifact loads a committed artifact by hex SHA-256 content address and
 // verifies the bytes against it — the serving side of replicated artifact
 // fetch.
 func (st *Store) Artifact(shaHex string) ([]byte, error) { return st.inner.ArtifactByAddr(shaHex) }

@@ -40,11 +40,13 @@ type Release struct {
 	hybrid  *HybridTree
 	counter RangeCounter // baseline payloads
 
-	// wire caches the marshaled envelope so every consumer — MarshalJSON,
-	// the store's commit, the server's artifact — serves the SAME bytes.
-	// For releases recovered from a store it is pre-loaded with the exact
-	// persisted bytes, which is what makes "bit-identical across a
-	// restart" a guarantee instead of a marshaling coincidence.
+	// wire caches the marshaled envelope so repeated Envelope and
+	// MarshalJSON calls serve the SAME bytes. For releases recovered from
+	// a JSON artifact it is pre-loaded with the exact persisted bytes, so
+	// stores written as JSON keep serving them. Releases recovered from a
+	// binary artifact start empty: their envelope renders from the tree,
+	// and rendering is deterministic, which keeps "bit-identical across a
+	// restart" without holding a serialized copy.
 	wire atomic.Pointer[wireEnvelope]
 }
 
@@ -67,6 +69,18 @@ func (r *Release) Envelope() ([]byte, error) {
 	r.wire.CompareAndSwap(nil, &wireEnvelope{blob: blob, err: err})
 	e := r.wire.Load()
 	return e.blob, e.err
+}
+
+// RenderEnvelope returns the bytes Envelope returns, without caching
+// them: a release whose envelope is already held (recovered from a
+// persisted JSON artifact, or marshaled before) returns those bytes, any
+// other renders its envelope afresh on each call. Servers that hold many
+// large releases use it so that no serialized copy stays resident.
+func (r *Release) RenderEnvelope() ([]byte, error) {
+	if e := r.wire.Load(); e != nil {
+		return e.blob, e.err
+	}
+	return r.encodeEnvelope()
 }
 
 // Kind returns the artifact family.

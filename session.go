@@ -50,12 +50,12 @@ func NewLedger(total float64) (*Ledger, error) { return dp.NewLedger(total) }
 // An in-memory ledger forgets every debit when the process dies, so a
 // restart would let the whole budget be spent again — an ε violation.
 // OpenSession (or WithStore) attaches a crash-safe store that write-ahead
-// logs every ledger event and persists every release envelope, with the
+// logs every ledger event and persists every release's artifact, with the
 // invariant that a debit is durable (fsynced) BEFORE the mechanism runs
 // and a refund is durable BEFORE the build error returns. On reopen the
 // session recovers its spent ε, full audit trail, and previously
 // committed releases; a request matching a recovered release is served
-// from the persisted envelope, bit-identical, with no new debit.
+// from the persisted artifact, bit-identical, with no new debit.
 type Session struct {
 	ledger *dp.Ledger
 	store  *store.Store // nil for purely in-memory sessions
@@ -81,7 +81,9 @@ type Session struct {
 
 // RestoredRelease is one release recovered from a session's store: the
 // decoded artifact plus its original commit time. Release.Envelope
-// returns the exact persisted bytes.
+// returns the persisted bytes of a JSON artifact, and renders a binary
+// artifact's envelope from the tree — the same bytes the release had
+// before it was stored.
 type RestoredRelease struct {
 	Release *Release
 	At      time.Time
@@ -128,7 +130,7 @@ func OpenSession(dir string, budget float64) (*Session, error) {
 // WithStore attaches a crash-safe store to a fresh session and recovers
 // the store's state: the ledger's spent ε and audit trail are rebuilt
 // from the event log, and every committed release is decoded from its
-// persisted envelope (available via Restored, and served as cache hits).
+// persisted artifact (available via Restored, and served as cache hits).
 // The session must be pristine — no spends, no releases — and can hold
 // only one store.
 func (s *Session) WithStore(st *Store) error {
@@ -150,16 +152,10 @@ func (s *Session) WithStore(st *Store) error {
 	restored := make(map[string]*Release, len(commits))
 	list := make([]RestoredRelease, 0, len(commits))
 	for _, c := range commits {
-		blob, err := st.inner.LoadArtifact(c.SHA)
+		rel, err := loadCommitted(st.inner, c.SHA)
 		if err != nil {
 			return fmt.Errorf("privtree: recovering release %q: %w", c.Key, err)
 		}
-		rel, err := Decode(blob)
-		if err != nil {
-			return fmt.Errorf("privtree: recovering release %q: %w", c.Key, err)
-		}
-		// Serve the exact persisted bytes, not a re-marshal.
-		rel.wire.Store(&wireEnvelope{blob: blob})
 		restored[c.Key] = rel
 		list = append(list, RestoredRelease{Release: rel, At: c.At})
 	}
@@ -169,6 +165,35 @@ func (s *Session) WithStore(st *Store) error {
 	s.restored = restored
 	s.restoredList = list
 	return nil
+}
+
+// loadCommitted reads and decodes one committed artifact. A JSON artifact
+// (every kind before binary artifacts existed, and sequence and hybrid
+// releases still) pins its persisted bytes as the release's envelope, so
+// it is served verbatim; a binary artifact pins nothing, and its envelope
+// renders from the decoded tree.
+func loadCommitted(st *store.Store, sha [32]byte) (*Release, error) {
+	blob, err := st.LoadArtifact(sha)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := Decode(blob)
+	if err != nil {
+		return nil, err
+	}
+	if !isBinaryArtifact(blob) {
+		rel.wire.Store(&wireEnvelope{blob: blob})
+	}
+	return rel, nil
+}
+
+// committedBytes returns what a store commits for a release: the binary
+// arena artifact for spatial releases, the JSON envelope otherwise.
+func committedBytes(rel *Release) ([]byte, error) {
+	if rel.spatial != nil {
+		return rel.MarshalBinary()
+	}
+	return rel.Envelope()
 }
 
 // ledgerHistory converts recovered store events into the ledger's audit
@@ -224,16 +249,10 @@ func (s *Session) ApplyReplicated(frames []byte) ([]RestoredRelease, error) {
 		if _, dup := s.restored[e.Key]; dup {
 			continue
 		}
-		blob, lerr := s.store.LoadArtifact(e.SHA)
-		if lerr != nil {
-			return out, fmt.Errorf("privtree: replicated release %q: %w", e.Key, lerr)
+		rel, err := loadCommitted(s.store, e.SHA)
+		if err != nil {
+			return out, fmt.Errorf("privtree: replicated release %q: %w", e.Key, err)
 		}
-		rel, derr := Decode(blob)
-		if derr != nil {
-			return out, fmt.Errorf("privtree: replicated release %q: %w", e.Key, derr)
-		}
-		// Serve the exact replicated bytes, not a re-marshal.
-		rel.wire.Store(&wireEnvelope{blob: blob})
 		s.restored[e.Key] = rel
 		rr := RestoredRelease{Release: rel, At: e.At}
 		s.restoredList = append(s.restoredList, rr)
@@ -615,7 +634,7 @@ func (s *Session) ReleaseContext(ctx context.Context, m *Mechanism, data *Data, 
 		}
 	} else if s.store != nil {
 		envSpan := tr.Begin("envelope")
-		blob, eerr := rel.Envelope()
+		blob, eerr := committedBytes(rel)
 		envSpan.End()
 		if eerr == nil {
 			commitSpan := tr.Begin("wal_commit")
