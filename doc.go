@@ -75,11 +75,11 @@
 //
 // The hot paths are engineered to be allocation-free in steady state:
 // decomposition trees are stored as flat node arenas (children as
-// contiguous index blocks, coordinates in chunked slabs), the per-node and
-// per-query geometry writes into caller-provided buffers, and RangeCount
-// performs zero heap allocations per query. Tree construction draws every
-// node's noise from a splittable stream keyed by the node's path from the
-// root, so subtrees can be built on a worker pool
+// contiguous index blocks, coordinates in one array per tree), the
+// per-node and per-query geometry writes into caller-provided buffers, and
+// RangeCount performs zero heap allocations per query. Tree construction
+// draws every node's noise from a splittable stream keyed by the node's
+// path from the root, so subtrees can be built on a worker pool
 // (SpatialOptions.Workers) while remaining a pure function of the seed:
 // serial and parallel builds release identical trees.
 //

@@ -208,13 +208,6 @@ func TestTheorem31PrivacyLossOnPaths(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestSplitProbabilityAtFloor(t *testing.T) {
 	// Lemma 3.2 setup: Pr[Lap(λ) > λ·ln β] = 1/(2β).
 	for _, beta := range []float64{2, 4, 16} {

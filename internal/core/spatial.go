@@ -117,7 +117,7 @@ func (c *buildCtx) expand(b *Builder, idx int32, view dataset.View, stream dp.St
 		}
 		return
 	}
-	region := b.Node(idx).Region
+	region := b.Region(idx)
 	ls := c.level(scratch, depth)
 	regions := c.split.SplitInto(region, depth, ls.rects)
 	ls.rects = regions
@@ -136,8 +136,7 @@ func (c *buildCtx) expand(b *Builder, idx int32, view dataset.View, stream dp.St
 		subs := make([]*Builder, len(regions))
 		var wg sync.WaitGroup
 		for i := range regions {
-			sub := NewBuilder(c.fanout, 64)
-			sub.nodes = append(sub.nodes, b.nodes[first+int32(i)])
+			sub := b.Sub(first+int32(i), 64)
 			subs[i] = sub
 			childStream := stream.Child(i)
 			childView := views[i]
@@ -208,26 +207,54 @@ func BuildNoisyParams(data *dataset.Spatial, split geom.Splitter, p Params, epsC
 // RangeCount answers a range-count query with the top-down traversal of
 // Section 2.2: fully contained nodes contribute their noisy count, leaves
 // that partially intersect contribute count · |q∩dom|/|dom| (uniformity
-// assumption), disjoint nodes are skipped. It performs no heap allocation.
+// assumption), disjoint nodes are skipped. A query whose dimensionality
+// differs from the tree's answers 0. It performs no heap allocation.
 // It panics if the tree carries no counts.
 func (t *Tree) RangeCount(q geom.Rect) float64 {
 	if !t.HasCounts {
 		panic("core: RangeCount on a tree without released counts")
 	}
-	return t.rangeCountAt(0, q)
+	d := t.dims
+	if len(q.Lo) != d || len(q.Hi) < d {
+		return 0
+	}
+	return t.rangeCountAt(0, q.Lo[:d:d], q.Hi[:d:d])
 }
 
-func (t *Tree) rangeCountAt(i int32, q geom.Rect) float64 {
-	n := &t.Nodes[i]
-	iv := n.Region.IntersectionVolume(q)
+// rangeCountAt is RangeCount's traversal. One pass over node i's bounds,
+// read straight from the coordinate array, yields both the intersection
+// volume and whether the query contains the node. The products run over
+// the axes in the same order, with the same builtin min/max, as
+// geom.Rect.IntersectionVolume and Volume, so answers (NaN included) are
+// bit-identical to a traversal written with those methods.
+func (t *Tree) rangeCountAt(i int32, qlo, qhi []float64) float64 {
+	d := len(qlo)
+	o := 2 * d * int(i)
+	lo := t.coords[o : o+d : o+d]
+	hi := t.coords[o+d : o+2*d : o+2*d]
+	iv := 1.0
+	inside := true
+	for k := range lo {
+		l := max(lo[k], qlo[k])
+		h := min(hi[k], qhi[k])
+		if l >= h {
+			return 0
+		}
+		iv *= h - l
+		inside = inside && !(lo[k] < qlo[k] || hi[k] > qhi[k])
+	}
 	if iv == 0 {
 		return 0
 	}
-	if q.ContainsRect(n.Region) {
+	n := &t.Nodes[i]
+	if inside {
 		return n.Count
 	}
 	if n.numChildren == 0 {
-		vol := n.Region.Volume()
+		vol := 1.0
+		for k := range lo {
+			vol *= hi[k] - lo[k]
+		}
 		if vol == 0 {
 			return 0
 		}
@@ -235,7 +262,7 @@ func (t *Tree) rangeCountAt(i int32, q geom.Rect) float64 {
 	}
 	sum := 0.0
 	for c := n.firstChild; c < n.firstChild+n.numChildren; c++ {
-		sum += t.rangeCountAt(c, q)
+		sum += t.rangeCountAt(c, qlo, qhi)
 	}
 	return sum
 }
@@ -257,7 +284,7 @@ func BuildExact(data *dataset.Spatial, split geom.Splitter, theta float64, maxDe
 		if float64(view.Len()) <= theta || depth >= maxDepth-1 {
 			return
 		}
-		region := b.Node(idx).Region
+		region := b.Region(idx)
 		ls := bc.level(&scratch, depth)
 		regions := split.SplitInto(region, depth, ls.rects)
 		ls.rects = regions

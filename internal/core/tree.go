@@ -15,11 +15,12 @@ import (
 // Children are identified by an index range into the arena rather than by
 // pointers: a split appends all β children as one contiguous block, so the
 // whole tree costs O(1) allocations per arena growth instead of O(1) per
-// node, and traversals walk cache-friendly contiguous memory.
+// node, and traversals walk cache-friendly contiguous memory. The node's
+// region is not stored here but in the tree's coordinate array (see
+// Tree.Region), which keeps a Node at 24 bytes.
 type Node struct {
-	Region geom.Rect
-	Count  float64
-	Depth  int32
+	Count float64
+	Depth int32
 	// firstChild indexes the node's first child in the arena; 0 marks a
 	// leaf (the root occupies index 0 and is never anyone's child).
 	firstChild  int32
@@ -35,13 +36,19 @@ func (n *Node) NumChildren() int { return int(n.numChildren) }
 // Tree is the output of PrivTree on spatial data: the decomposition plus,
 // optionally, noisy counts. Nodes is the arena in depth-first order (each
 // node's descendants follow it, children as contiguous blocks); Nodes[0] is
-// the root. Treat the arena as read-only outside this package except
-// through Builder.
+// the root. The regions live in one coordinate array parallel to Nodes:
+// node i's bounds are the 2·d floats at coords[2·d·i:], Lo then Hi. Both
+// arrays have capacity equal to their length, so a tree holds no append
+// slack. Treat the arena as read-only outside this package except through
+// Builder.
 type Tree struct {
 	Nodes  []Node
 	Fanout int
 	// HasCounts records whether noisy counts were released onto nodes.
 	HasCounts bool
+
+	coords []float64
+	dims   int
 }
 
 // NodeRef is a handle to one node of a tree: a value type (tree pointer +
@@ -63,9 +70,9 @@ func (r NodeRef) Node() *Node { return &r.t.Nodes[r.i] }
 // Index returns the node's arena index.
 func (r NodeRef) Index() int { return int(r.i) }
 
-// Region returns the node's region. The rectangle aliases the tree's
-// storage and must not be mutated.
-func (r NodeRef) Region() geom.Rect { return r.t.Nodes[r.i].Region }
+// Region returns the node's region, a view into the tree's coordinate
+// array: it allocates nothing and must not be mutated.
+func (r NodeRef) Region() geom.Rect { return r.t.Region(int(r.i)) }
 
 // Count returns the node's released noisy count (NaN without counts).
 func (r NodeRef) Count() float64 { return r.t.Nodes[r.i].Count }
@@ -90,6 +97,25 @@ func (r NodeRef) Child(j int) NodeRef {
 
 // Size returns the total number of nodes.
 func (t *Tree) Size() int { return len(t.Nodes) }
+
+// Dims returns the dimensionality of the tree's regions.
+func (t *Tree) Dims() int { return t.dims }
+
+// Region returns node i's region, a view into the tree's coordinate
+// array: it allocates nothing and must not be mutated.
+func (t *Tree) Region(i int) geom.Rect { return regionAt(t.coords, t.dims, i) }
+
+// Coords returns the tree's coordinate array (node i's Lo then Hi at
+// offset 2·Dims()·i). It is read-only.
+func (t *Tree) Coords() []float64 { return t.coords }
+
+// regionAt slices node i's bounds out of a coordinate array with d
+// dimensions. The three-index slices keep an append through the view from
+// overwriting the next node.
+func regionAt(coords []float64, d, i int) geom.Rect {
+	o := 2 * d * i
+	return geom.Rect{Lo: coords[o : o+d : o+d], Hi: coords[o+d : o+2*d : o+2*d]}
+}
 
 // Height returns the maximum depth over all nodes (root = 0).
 func (t *Tree) Height() int {
@@ -145,11 +171,12 @@ func (t *Tree) SumInternalCounts() {
 }
 
 // Equal reports whether two trees are identical releases: same fanout,
-// count flag, and node-for-node identical arenas (regions, depths, counts
-// — NaN counts compare equal — and child links). Serial and parallel
-// builds from the same seed must satisfy Equal exactly.
+// count flag, and node-for-node identical arenas (depths, counts — NaN
+// counts compare equal — child links and region coordinates). Serial and
+// parallel builds from the same seed must satisfy Equal exactly.
 func Equal(a, b *Tree) bool {
-	if a.Fanout != b.Fanout || a.HasCounts != b.HasCounts || len(a.Nodes) != len(b.Nodes) {
+	if a.Fanout != b.Fanout || a.HasCounts != b.HasCounts || a.dims != b.dims ||
+		len(a.Nodes) != len(b.Nodes) || len(a.coords) != len(b.coords) {
 		return false
 	}
 	for i := range a.Nodes {
@@ -160,38 +187,33 @@ func Equal(a, b *Tree) bool {
 		if na.Count != nb.Count && !(math.IsNaN(na.Count) && math.IsNaN(nb.Count)) {
 			return false
 		}
-		if len(na.Region.Lo) != len(nb.Region.Lo) {
+	}
+	for k := range a.coords {
+		if a.coords[k] != b.coords[k] {
 			return false
-		}
-		for k := range na.Region.Lo {
-			if na.Region.Lo[k] != nb.Region.Lo[k] || na.Region.Hi[k] != nb.Region.Hi[k] {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// coordSlabFloats is the chunk size of the Builder's coordinate arena. At
-// the quadtree default (d=2, 4 coords per node) one slab holds 1024 nodes'
-// regions, so coordinate storage costs O(size/1024) allocations.
-const coordSlabFloats = 4096
-
 // Builder assembles a Tree into its arena form. All tree constructors in
 // the repository — PrivTree itself, the SimpleTree baseline, the SVT
-// demonstration tree, and JSON deserialization — go through a Builder, so
+// demonstration tree, and both deserializers — go through a Builder, so
 // they share the same allocation discipline: nodes land in a growing
-// []Node, and region coordinates are copied into chunked float slabs (the
-// caller may therefore reuse its scratch rectangles between AddChildren
-// calls).
+// []Node and region coordinates in one growing []float64, 2·d floats per
+// node in arena order. Regions are copied in, so the caller may reuse its
+// scratch rectangles between AddChildren calls. A builder sized with the
+// exact node count allocates each array once.
 type Builder struct {
 	nodes  []Node
+	coords []float64
 	fanout int
-	slab   []float64 // current coordinate slab, sliced down as it fills
+	dims   int
 }
 
 // NewBuilder returns a builder for a tree of the given fanout. sizeHint, if
-// positive, pre-sizes the node arena.
+// positive, pre-sizes the node arena, and the coordinate array with it
+// once AddRoot fixes the dimensionality.
 func NewBuilder(fanout, sizeHint int) *Builder {
 	if sizeHint < 1 {
 		sizeHint = 16
@@ -199,31 +221,26 @@ func NewBuilder(fanout, sizeHint int) *Builder {
 	return &Builder{nodes: make([]Node, 0, sizeHint), fanout: fanout}
 }
 
-// copyRegion copies r into the coordinate arena and returns the copy.
-func (b *Builder) copyRegion(r geom.Rect) geom.Rect {
-	d := len(r.Lo)
-	if len(b.slab) < 2*d {
-		n := coordSlabFloats
-		if n < 2*d {
-			n = 2 * d
-		}
-		b.slab = make([]float64, n)
+// appendRegion copies r's bounds onto the coordinate array.
+func (b *Builder) appendRegion(r geom.Rect) {
+	if len(r.Lo) != b.dims || len(r.Hi) != b.dims {
+		panic("core: Builder region dimension mismatch")
 	}
-	lo := b.slab[:d:d]
-	hi := b.slab[d : 2*d : 2*d]
-	b.slab = b.slab[2*d:]
-	copy(lo, r.Lo)
-	copy(hi, r.Hi)
-	return geom.Rect{Lo: lo, Hi: hi}
+	b.coords = append(b.coords, r.Lo...)
+	b.coords = append(b.coords, r.Hi...)
 }
 
-// AddRoot places the root node (index 0) with the given region. It must be
-// called exactly once, before any AddChildren.
+// AddRoot places the root node (index 0) with the given region, which
+// fixes the tree's dimensionality. It must be called exactly once, before
+// any AddChildren.
 func (b *Builder) AddRoot(region geom.Rect) int32 {
 	if len(b.nodes) != 0 {
 		panic("core: Builder.AddRoot on a non-empty builder")
 	}
-	b.nodes = append(b.nodes, Node{Region: b.copyRegion(region), Depth: 0, Count: math.NaN()})
+	b.dims = region.Dims()
+	b.coords = make([]float64, 0, 2*b.dims*cap(b.nodes))
+	b.appendRegion(region)
+	b.nodes = append(b.nodes, Node{Depth: 0, Count: math.NaN()})
 	return 0
 }
 
@@ -235,7 +252,8 @@ func (b *Builder) AddChildren(parent int32, regions []geom.Rect) int32 {
 	first := int32(len(b.nodes))
 	depth := b.nodes[parent].Depth + 1
 	for _, r := range regions {
-		b.nodes = append(b.nodes, Node{Region: b.copyRegion(r), Depth: depth, Count: math.NaN()})
+		b.appendRegion(r)
+		b.nodes = append(b.nodes, Node{Depth: depth, Count: math.NaN()})
 	}
 	b.nodes[parent].firstChild = first
 	b.nodes[parent].numChildren = int32(len(regions))
@@ -249,13 +267,29 @@ func (b *Builder) SetCount(i int32, count float64) { b.nodes[i].Count = count }
 // Node exposes node i for in-place inspection during construction.
 func (b *Builder) Node(i int32) *Node { return &b.nodes[i] }
 
+// Region returns node i's region, a view into the builder's coordinate
+// array. It allocates nothing, must not be mutated, and is valid only
+// until the next AddChildren or Splice, which may move the array.
+func (b *Builder) Region(i int32) geom.Rect { return regionAt(b.coords, b.dims, int(i)) }
+
 // Len returns the number of nodes added so far.
 func (b *Builder) Len() int { return len(b.nodes) }
 
+// Sub returns a builder for the subtree under node i, seeded with a copy of
+// that node and its region as its own node 0; sizeHint is as for
+// NewBuilder. Growing the subtree there and handing it back with Splice is
+// how the parallel build expands sibling subtrees concurrently.
+func (b *Builder) Sub(i int32, sizeHint int) *Builder {
+	sub := NewBuilder(b.fanout, sizeHint)
+	sub.AddRoot(b.Region(i))
+	sub.nodes[0] = b.nodes[i]
+	return sub
+}
+
 // Splice grafts a subtree built in a separate Builder onto child node
-// childIdx: sub's node 0 must describe childIdx itself (the parallel build
-// seeds it with a copy of that node); its descendants are appended to b
-// with child links rebased. Appending sub-builders in child order
+// childIdx: sub's node 0 must describe childIdx itself (Sub seeds it with
+// a copy of that node); its descendants and their coordinates are appended
+// to b with child links rebased. Appending sub-builders in child order
 // reproduces exactly the arena layout a fully serial build would have
 // produced, which is what makes parallel builds byte-identical to serial
 // ones.
@@ -274,9 +308,25 @@ func (b *Builder) Splice(childIdx int32, sub *Builder) {
 		}
 		b.nodes = append(b.nodes, n)
 	}
+	b.coords = append(b.coords, sub.coords[2*b.dims:]...)
 }
 
-// Build finalizes the tree. The builder must not be used afterwards.
+// Build finalizes the tree, trimming both arrays to their length so the
+// tree keeps no append slack (a builder sized with the exact node count
+// hands its arrays over without a copy). The builder must not be used
+// afterwards.
 func (b *Builder) Build(hasCounts bool) *Tree {
-	return &Tree{Nodes: b.nodes, Fanout: b.fanout, HasCounts: hasCounts}
+	return &Tree{Nodes: trim(b.nodes), coords: trim(b.coords), dims: b.dims,
+		Fanout: b.fanout, HasCounts: hasCounts}
+}
+
+// trim returns s itself when it has no spare capacity, else an exact-size
+// copy of it.
+func trim[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }

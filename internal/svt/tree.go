@@ -44,7 +44,7 @@ func BuildTreeWithBinarySVT(data *dataset.Spatial, split geom.Splitter, theta, l
 		if noisy <= thetaHat {
 			continue
 		}
-		regions := split.Split(n.Region, int(n.Depth))
+		regions := split.Split(b.Region(cur.idx), int(n.Depth))
 		views := cur.view.PartitionInto(regions, make([]dataset.View, len(regions)))
 		first := b.AddChildren(cur.idx, regions)
 		for i := range regions {

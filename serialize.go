@@ -48,6 +48,18 @@ func (t *SpatialTree) MarshalJSON() ([]byte, error) {
 	return json.Marshal(treeJSON{Version: 1, Fanout: t.tree.Fanout, Root: conv(t.tree.Root())})
 }
 
+// size returns the number of nodes in the wire subtree rooted at w and
+// the number of bound coordinates they carry.
+func (w *nodeJSON) size() (nodes, coords int) {
+	nodes, coords = 1, len(w.Lo)+len(w.Hi)
+	for i := range w.Children {
+		n, c := w.Children[i].size()
+		nodes += n
+		coords += c
+	}
+	return nodes, coords
+}
+
 // wireRect validates one serialized node's bounds and returns the region.
 // It goes through geom.MakeRect, never geom.NewRect: inverted intervals,
 // non-finite coordinates, mismatched or empty bound slices are all
@@ -82,7 +94,15 @@ func (t *SpatialTree) UnmarshalJSON(data []byte) error {
 	if wire.Fanout < 2 || wire.Fanout > maxWireFanout {
 		return fmt.Errorf("privtree: unusable fanout %d", wire.Fanout)
 	}
-	b := core.NewBuilder(wire.Fanout, 64)
+	// Size the arena once from the parsed tree, but only when every node
+	// carries the root's dimensionality: the coordinate array is then no
+	// larger than the floats already parsed. Otherwise conv reports the
+	// malformed node before the arena grows far.
+	nodes, coords := wire.Root.size()
+	if coords != 2*len(wire.Root.Lo)*nodes {
+		nodes = 1
+	}
+	b := core.NewBuilder(wire.Fanout, nodes)
 	var conv func(w nodeJSON, idx int32) error
 	conv = func(w nodeJSON, idx int32) error {
 		if len(w.Children) == 0 {
@@ -98,7 +118,7 @@ func (t *SpatialTree) UnmarshalJSON(data []byte) error {
 		if len(w.Children) != wire.Fanout {
 			return fmt.Errorf("privtree: node has %d children, fanout is %d", len(w.Children), wire.Fanout)
 		}
-		parentRegion := b.Node(idx).Region
+		parentRegion := b.Region(idx)
 		regions := make([]geom.Rect, len(w.Children))
 		for i, cw := range w.Children {
 			r, err := wireRect(cw.Lo, cw.Hi)

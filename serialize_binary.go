@@ -65,7 +65,7 @@ func (r *Release) MarshalBinary() ([]byte, error) {
 		return nil, fmt.Errorf("privtree: %s release has no binary artifact", r.kind)
 	}
 	t := r.spatial.tree
-	dims := t.Nodes[0].Region.Dims()
+	dims := t.Dims()
 	rect := 16 * dims
 	internal := 0
 	for i := range t.Nodes {
@@ -94,7 +94,7 @@ func (r *Release) MarshalBinary() ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Fanout))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(dims))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Nodes)))
-	buf = appendRect(buf, t.Nodes[0].Region)
+	buf = appendRect(buf, t.Region(0))
 
 	// Preorder over the arena's child links, on an explicit stack.
 	stack := make([]core.NodeRef, 1, 64)
@@ -297,7 +297,7 @@ func decodeArena(sec []byte) (*core.Tree, error) {
 			off += 8
 			continue
 		}
-		parent := b.Node(idx).Region
+		parent := b.Region(idx)
 		for i := range regions {
 			readRect(arena[off:off+rect], regions[i])
 			off += rect

@@ -170,12 +170,18 @@ func (t *SpatialTree) Nodes() int { return t.tree.Size() }
 // this is the paper's headline property.
 func (t *SpatialTree) Height() int { return t.tree.Height() }
 
-// Leaves returns the leaf regions with their released noisy counts.
+// Leaves returns the leaf regions with their released noisy counts. The
+// regions are copies (sharing one fresh backing array), so the caller may
+// modify them without touching the tree.
 func (t *SpatialTree) Leaves() []LeafRegion {
 	leaves := t.tree.Leaves()
+	regions := geom.MakeRects(len(leaves), t.tree.Dims())
 	out := make([]LeafRegion, len(leaves))
 	for i, l := range leaves {
-		out[i] = LeafRegion{Region: l.Region(), Count: l.Count(), Depth: l.Depth()}
+		r := l.Region()
+		copy(regions[i].Lo, r.Lo)
+		copy(regions[i].Hi, r.Hi)
+		out[i] = LeafRegion{Region: regions[i], Count: l.Count(), Depth: l.Depth()}
 	}
 	return out
 }
